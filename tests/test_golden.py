@@ -1,0 +1,59 @@
+"""Golden artifacts: byte-for-byte rendered experiment outputs.
+
+Each file under ``tests/golden/`` is the ``format()`` rendering (exactly
+what ``repro experiment NAME`` prints) of one experiment at
+``REPRO_SCALE=0.05`` with its default seed. A perf refactor of any layer
+those experiments drive must leave every byte alone; a diff here means
+the change moved a simulated number, not just the wall time.
+
+Regenerate (only when a change is *meant* to move the numbers, and say
+why in CHANGES.md)::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.sim.experiments.figure5 import run_figure5
+from repro.sim.experiments.resize_mechanism import run_resize_mechanism
+from repro.sim.experiments.table2 import run_table2
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_SCALE = "0.05"
+
+#: Golden file name -> renderer (run under ``REPRO_SCALE=GOLDEN_SCALE``).
+ARTIFACTS = {
+    "resize_mechanism.txt": lambda: run_resize_mechanism().format(),
+    "table2.txt": lambda: run_table2().format(),
+    "figure5_A.txt": lambda: run_figure5(graph="A").format(),
+}
+
+
+def render(name: str) -> str:
+    return ARTIFACTS[name]() + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_rendered_output_matches_golden(name, monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", GOLDEN_SCALE)
+    expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert render(name) == expected
+
+
+def main() -> int:
+    os.environ["REPRO_SCALE"] = GOLDEN_SCALE
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in sorted(ARTIFACTS):
+        (GOLDEN_DIR / name).write_text(render(name), encoding="utf-8")
+        print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

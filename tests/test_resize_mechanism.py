@@ -514,8 +514,15 @@ class TestChashEndToEnd:
         assert cache.stats.resize_blocks_moved > 0
         assert_invariants(cache, counters=True)
 
-    def test_all_access_paths_agree_under_chash(self):
-        """The differential oracle holds with the chash backend active."""
+    @pytest.mark.parametrize("mechanism", ["flush", "chash"])
+    def test_all_access_paths_agree_under_chash(self, mechanism):
+        """The differential oracle holds with either backend active.
+
+        Two hard faults land mid-stream on molecules region 0 owns at
+        that point, like the resize-mechanism experiment's bursts, so
+        the session path the experiment drives is checked against the
+        scalar reference across repairs too.
+        """
         scenario = Scenario(
             apps=(
                 AppSpec(asid=0, goal=0.1, tile_id=0, initial_molecules=2),
@@ -523,17 +530,22 @@ class TestChashEndToEnd:
             ),
             placement="randy",
             trigger="global_adaptive",
-            mechanism="chash",
+            mechanism=mechanism,
         )
         rng = random.Random("chash-oracle")
         ops = []
         for index in range(1_500):
+            if index == 675:
+                ops.append(("fault", "hard", 0))
+            elif index == 1_050:
+                ops.append(("fault", "hard", 1))
             asid = rng.randrange(2)
             span = 48 if (index // 300 + asid) % 2 else 8
             block = 1 + asid * 100_000 + rng.randrange(span)
             ops.append(("access", asid, block, rng.random() < 0.4))
         report = run_oracle(scenario, ops, audit_every=500)
         assert report.divergences == []
+        assert report.results["scalar"].stats["molecules_repaired"] > 0
 
 
 # ----------------------------------------------------------- configuration
@@ -567,6 +579,23 @@ def test_idle_global_round_holds_the_period():
 
 
 # -------------------------------------------------------------- experiment
+
+
+def test_experiment_cell_runs_on_the_session_fast_path(monkeypatch):
+    """The grid drives ``access_session``, never scalar ``access_block``.
+
+    The scalar reference is the spec and oracle path; running the grid
+    on it is about 1.6x slower for identical numbers. The cell is long
+    enough for both fault bursts and several resize rounds to fire.
+    """
+
+    def scalar_access(self, block, asid=0, write=False):
+        raise AssertionError("resize-mechanism cell called access_block")
+
+    monkeypatch.setattr(MolecularCache, "access_block", scalar_access)
+    cell = run_resize_mechanism_cell("chash", "constant", 5_000, seed=1)
+    assert cell["repaired"] > 0
+    assert cell["granted"] + cell["withdrawn"] > 0
 
 
 def test_chash_moves_strictly_less_than_flush_on_the_churn_cell():
