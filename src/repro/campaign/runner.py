@@ -129,6 +129,24 @@ def execute_spec(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def guided_chunk_sizes(jobs: int, workers: int) -> list[int]:
+    """Chunk lengths for ``jobs`` jobs on ``workers`` workers.
+
+    Each chunk takes ``ceil(remaining / (2 * workers))`` jobs: large
+    chunks first, so per-submission overhead amortises, then ever
+    smaller ones, so no worker is left running a long chunk alone at the
+    end while the others idle (24 jobs on 2 workers: 6, 5, 4, 3, 2, 1,
+    1, 1, 1).
+    """
+    sizes = []
+    remaining = jobs
+    while remaining > 0:
+        size = -(-remaining // (2 * workers))
+        sizes.append(size)
+        remaining -= size
+    return sizes
+
+
 def execute_chunk(
     payloads: list[dict[str, Any]],
     directives: list[dict[str, Any] | None] | None = None,
@@ -570,16 +588,15 @@ class CampaignRunner:
             self._run_serial(result, pending)
             return
 
-        # Parcel the jobs into chunks — about four per worker, so load
-        # stays balanced while per-submission overhead amortises across
-        # the chunk. Requeued work (retries, timeouts) travels as
-        # singleton chunks to keep attribution per spec.
-        chunk_size = max(1, len(pending) // (workers * 4))
+        # Parcel the jobs into guided chunks (see ``guided_chunk_sizes``).
+        # Requeued work (retries, timeouts) travels as singleton chunks
+        # to keep attribution per spec.
         items = [(index, spec, 1) for index, spec in pending]
-        queue: deque[list[tuple[int, JobSpec, int]]] = deque(
-            items[start : start + chunk_size]
-            for start in range(0, len(items), chunk_size)
-        )
+        queue: deque[list[tuple[int, JobSpec, int]]] = deque()
+        start = 0
+        for size in guided_chunk_sizes(len(items), workers):
+            queue.append(items[start : start + size])
+            start += size
         active: dict[Any, tuple[list[tuple[int, JobSpec, int]], float]] = {}
         pool_breaks = 0
 

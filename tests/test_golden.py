@@ -20,9 +20,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim.experiments.degradation import run_degradation
 from repro.sim.experiments.figure5 import run_figure5
+from repro.sim.experiments.figure6 import run_figure6
 from repro.sim.experiments.resize_mechanism import run_resize_mechanism
+from repro.sim.experiments.table1 import run_table1
 from repro.sim.experiments.table2 import run_table2
+from repro.sim.experiments.table4 import run_table4
+from repro.sim.experiments.table5 import run_table5
+from repro.sim.experiments.tenancy import run_tenancy
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SCALE = "0.05"
@@ -30,8 +36,15 @@ GOLDEN_SCALE = "0.05"
 #: Golden file name -> renderer (run under ``REPRO_SCALE=GOLDEN_SCALE``).
 ARTIFACTS = {
     "resize_mechanism.txt": lambda: run_resize_mechanism().format(),
+    "table1.txt": lambda: run_table1().format(),
     "table2.txt": lambda: run_table2().format(),
+    "table4.txt": lambda: run_table4().format(),
+    "table5.txt": lambda: run_table5().format(),
     "figure5_A.txt": lambda: run_figure5(graph="A").format(),
+    "figure5_B.txt": lambda: run_figure5(graph="B").format(),
+    "figure6.txt": lambda: run_figure6().format(),
+    "degradation.txt": lambda: run_degradation().format(),
+    "tenancy.txt": lambda: run_tenancy().format(),
 }
 
 
