@@ -22,6 +22,7 @@ from repro.campaign import (
     experiment_names,
     get_experiment,
 )
+from repro.campaign.runner import guided_chunk_sizes
 from repro.common.errors import CampaignError, ConfigError
 from repro.telemetry import EventBus, RingBufferSink
 from repro.telemetry.events import (
@@ -274,6 +275,32 @@ def _run_table1_campaign(tmp_path, jobs: int, refs: int = 1000, **kwargs):
     outcome = runner.run(specs, campaign="table1")
     result = target.assemble_results(specs, outcome.results_in_order())
     return outcome, result.format()
+
+
+class TestGuidedChunks:
+    @pytest.mark.parametrize(
+        "jobs, workers, sizes",
+        [
+            (24, 2, [6, 5, 4, 3, 2, 1, 1, 1, 1]),
+            (11, 2, [3, 2, 2, 1, 1, 1, 1]),
+            (5, 4, [1, 1, 1, 1, 1]),
+            (3, 1, [2, 1]),
+            (1, 8, [1]),
+            (0, 2, []),
+        ],
+    )
+    def test_sizes(self, jobs, workers, sizes):
+        assert guided_chunk_sizes(jobs, workers) == sizes
+
+    def test_each_chunk_is_a_share_of_what_remains(self):
+        for jobs in range(1, 80):
+            for workers in (1, 2, 3, 4, 7):
+                sizes = guided_chunk_sizes(jobs, workers)
+                assert sum(sizes) == jobs
+                remaining = jobs
+                for size in sizes:
+                    assert size == -(-remaining // (2 * workers))
+                    remaining -= size
 
 
 class TestRunner:
